@@ -11,7 +11,7 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "core/triangle_count.h"
 #include "graph/reorder.h"
 #include "prof/session.h"
@@ -71,7 +71,8 @@ int Main(int argc, char** argv) {
       core::BfsOptions bfs_options;
       bfs_options.source = source;
       bfs_options.assume_symmetric = true;
-      auto bfs = core::RunBfs(&device, layout.symmetric, bfs_options);
+      auto bfs = core::Run(&device, {core::Algo::kBfs}, layout.symmetric,
+                           bfs_options);
       if (!bfs.ok()) {
         std::cerr << bfs.status().ToString() << "\n";
         return 1;
@@ -92,7 +93,7 @@ int Main(int argc, char** argv) {
       auto tc_profile = tc_session.Finish();
 
       table.AddRow(
-          {arch->name, layout.name, FormatFixed(bfs->time_ms, 4),
+          {arch->name, layout.name, FormatFixed(core::ResultTimeMs(*bfs), 4),
            FormatFixed(100 * bfs_profile.counters.gld_efficiency(), 1) + "%",
            FormatFixed(100 * bfs_profile.counters.l2_hit_rate(), 1) + "%",
            FormatFixed(tc->time_ms, 4),

@@ -1,9 +1,10 @@
 // Modeled strong scaling of partitioned execution (DESIGN.md §2.7): BFS and
 // PageRank on Table 4 dataset proxies across 1/2/4/8 simulated A100 devices
-// linked by NVLink.  The single-device column is the library's own top-down
-// RunBfs (direction-optimizing off — the partitioned driver is top-down
-// only), and every multi-device BFS is checked byte-identical against it,
-// so the scaling numbers never come at the cost of correctness.
+// linked by NVLink.  Every column, the 1-device one included, is the
+// partitioned driver; every multi-device BFS is checked byte-identical
+// against the library's own top-down BFS via core::Run (direction-
+// optimizing off — the partitioned driver is top-down only), so the
+// scaling numbers never come at the cost of correctness.
 //
 // Usage:
 //   bench_part_scaling [--smoke] [--datasets=...] [--extra-divisor=F]
@@ -13,10 +14,11 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/generate.h"
 #include "part/engine.h"
 #include "part/part_bfs.h"
@@ -97,17 +99,19 @@ int Main(int argc, char** argv) {
     }
 
     // Single-device reference: the library's own top-down BFS.  Its levels
-    // are the byte-identity baseline AND its runtime is the 1-device
-    // column, so speedups are against the real single-GPU code path.
+    // are the byte-identity baseline (its runtime is not a column).
     vgpu::Device reference_device(arch);
     core::BfsOptions ref_options;
     ref_options.source = source;
     ref_options.direction_optimizing = false;
-    auto reference = core::RunBfs(&reference_device, *symmetric, ref_options);
+    auto reference = core::Run(&reference_device, {core::Algo::kBfs},
+                               *symmetric, ref_options);
     if (!reference.ok()) {
       std::cerr << spec.name << ": " << reference.status().ToString() << "\n";
       return 1;
     }
+    const std::vector<uint32_t>& reference_levels =
+        std::get<core::BfsResult>(*reference).levels;
 
     ScalingRow bfs_row;
     bfs_row.dataset = spec.name;
@@ -141,8 +145,8 @@ int Main(int argc, char** argv) {
         return 1;
       }
       if (num_devices > 1 &&
-          (bfs->levels.size() != reference->levels.size() ||
-           std::memcmp(bfs->levels.data(), reference->levels.data(),
+          (bfs->levels.size() != reference_levels.size() ||
+           std::memcmp(bfs->levels.data(), reference_levels.data(),
                        bfs->levels.size() * sizeof(uint32_t)) != 0)) {
         bfs_row.byte_identical = false;
       }

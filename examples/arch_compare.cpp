@@ -6,8 +6,9 @@
 //   $ ./build/examples/arch_compare [--scale=14]
 
 #include <cstdio>
+#include <variant>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "prof/metrics.h"
@@ -50,12 +51,13 @@ int main(int argc, char** argv) {
     core::BfsOptions options;
     options.source = source;
     options.assume_symmetric = true;
-    auto bfs = core::RunBfs(&device, g, options);
-    if (!bfs.ok()) {
+    auto run = core::Run(&device, {core::Algo::kBfs}, g, options);
+    if (!run.ok()) {
       std::fprintf(stderr, "%s: %s\n", device.name().c_str(),
-                   bfs.status().ToString().c_str());
+                   run.status().ToString().c_str());
       return 1;
     }
+    const auto& bfs = std::get<core::BfsResult>(*run);
     auto profile = session.Finish();
 
     std::printf("=== %s (%s, %s / %s, wavefront %u) ===\n",
@@ -63,8 +65,8 @@ int main(int argc, char** argv) {
                 rt::PlatformName(platform).c_str(),
                 rt::LibraryNameOn(platform).c_str(), arch->warp_width);
     std::printf("  runtime %.4f ms  (%.1f MTEPS), %llu kernel launches\n",
-                bfs->time_ms,
-                static_cast<double>(g.num_edges()) / (bfs->time_ms * 1e3),
+                bfs.time_ms,
+                static_cast<double>(g.num_edges()) / (bfs.time_ms * 1e3),
                 static_cast<unsigned long long>(profile.num_kernels));
 
     auto fine = prof::ComputeFineGrained(profile, platform);
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 4; ++i) {
       std::printf("    %-30s %12llu  (%.0f /ms)\n", fine_names[i].c_str(),
                   static_cast<unsigned long long>(fine_values[i]),
-                  static_cast<double>(fine_values[i]) / bfs->time_ms);
+                  static_cast<double>(fine_values[i]) / bfs.time_ms);
     }
 
     auto coarse = prof::ComputeCoarse(profile, platform, *arch,

@@ -6,8 +6,9 @@
 // creation, an algorithm run, and the result + timing you get back.
 
 #include <cstdio>
+#include <variant>
 
-#include "core/bfs.h"
+#include "core/api.h"
 #include "graph/builder.h"
 #include "vgpu/arch.h"
 #include "vgpu/device.h"
@@ -47,26 +48,27 @@ int main() {
   //    as simulated GPU kernels, and levels come back to the host.
   core::BfsOptions options;
   options.source = 0;
-  auto bfs = core::RunBfs(&device, g, options);
-  if (!bfs.ok()) {
-    std::fprintf(stderr, "BFS failed: %s\n", bfs.status().ToString().c_str());
+  auto run = core::Run(&device, {core::Algo::kBfs}, g, options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "BFS failed: %s\n", run.status().ToString().c_str());
     return 1;
   }
+  const auto& bfs = std::get<core::BfsResult>(*run);
 
   // 4. Inspect the results.
   std::printf("BFS from vertex 0 visited %llu vertices, depth %u, "
               "modeled GPU time %.4f ms\n",
-              static_cast<unsigned long long>(bfs->vertices_visited),
-              bfs->depth, bfs->time_ms);
+              static_cast<unsigned long long>(bfs.vertices_visited),
+              bfs.depth, bfs.time_ms);
   for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (bfs->levels[v] == core::kUnreachedLevel) {
+    if (bfs.levels[v] == core::kUnreachedLevel) {
       std::printf("  vertex %u: unreached\n", v);
     } else {
-      std::printf("  vertex %u: level %u\n", v, bfs->levels[v]);
+      std::printf("  vertex %u: level %u\n", v, bfs.levels[v]);
     }
   }
   double mteps =
-      static_cast<double>(g.num_edges()) / (bfs->time_ms * 1e3);
+      static_cast<double>(g.num_edges()) / (bfs.time_ms * 1e3);
   std::printf("throughput: %.1f MTEPS (paper Table 5 convention)\n", mteps);
   return 0;
 }

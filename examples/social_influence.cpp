@@ -8,9 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "core/pagerank.h"
+#include "core/api.h"
 #include "graph/csr.h"
 #include "graph/generate.h"
 #include "graph/stats.h"
@@ -67,22 +68,23 @@ int main(int argc, char** argv) {
   options.alpha = 0.85;
   options.max_iterations = 60;
   options.tolerance = 1e-8;
-  auto pr = core::RunPageRank(&device, g, options);
-  if (!pr.ok()) {
+  auto run = core::Run(&device, {core::Algo::kPageRank}, g, options);
+  if (!run.ok()) {
     std::fprintf(stderr, "PageRank failed: %s\n",
-                 pr.status().ToString().c_str());
+                 run.status().ToString().c_str());
     return 1;
   }
+  const auto& pr = std::get<core::PageRankResult>(*run);
   std::printf("PageRank on %s: %u iterations, final L1 delta %.2e, "
               "modeled GPU time %.3f ms\n",
-              device.name().c_str(), pr->iterations, pr->l1_delta,
-              pr->time_ms);
+              device.name().c_str(), pr.iterations, pr.l1_delta,
+              pr.time_ms);
 
   // Top influencers: who gathers the most rank mass?
   std::vector<graph::vid_t> order(g.num_vertices());
   for (graph::vid_t v = 0; v < g.num_vertices(); ++v) order[v] = v;
   std::sort(order.begin(), order.end(), [&](graph::vid_t a, graph::vid_t b) {
-    return pr->ranks[a] > pr->ranks[b];
+    return pr.ranks[a] > pr.ranks[b];
   });
   // In-degree for context (influence flows along incoming follows).
   auto gt = g.Transpose();
@@ -90,14 +92,15 @@ int main(int argc, char** argv) {
   std::printf("  %-8s %-12s %-10s\n", "user", "rank", "followers");
   for (int i = 0; i < 10 && i < static_cast<int>(order.size()); ++i) {
     graph::vid_t v = order[i];
-    std::printf("  %-8u %-12.3e %-10u\n", v, pr->ranks[v], gt.degree(v));
+    std::printf("  %-8u %-12.3e %-10llu\n", v, pr.ranks[v],
+                static_cast<unsigned long long>(gt.degree(v)));
   }
 
   // Rank concentration: how much of the total rank the top 1% holds — the
   // hallmark of power-law influence structure.
   size_t top = std::max<size_t>(1, order.size() / 100);
   double mass = 0;
-  for (size_t i = 0; i < top; ++i) mass += pr->ranks[order[i]];
+  for (size_t i = 0; i < top; ++i) mass += pr.ranks[order[i]];
   std::printf("top 1%% of users hold %.1f%% of total rank\n", mass * 100);
   return 0;
 }

@@ -50,6 +50,8 @@ Result<Algo> ParseAlgorithm(std::string_view name);
 struct BcOptions {
   graph::vid_t source = 0;
   uint32_t block_size = 256;
+
+  bool operator==(const BcOptions&) const = default;
 };
 
 /// Outcome of a betweenness run.
@@ -66,7 +68,9 @@ struct BcResult {
 };
 
 /// Uniform request parameters: the variant alternative *is* the algorithm
-/// selection.  Alternative order matches enum Algo.
+/// selection.  Alternative order matches enum Algo.  Every alternative compares
+/// field by field, so equal Params mean the same query (the net layer keys
+/// its warm-start store on them).
 using Params =
     std::variant<BfsOptions, SsspOptions, PageRankOptions, TcOptions,
                  CcOptions, KCoreOptions, JaccardOptions, WidestPathOptions,

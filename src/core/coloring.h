@@ -13,6 +13,8 @@ namespace adgraph::core {
 struct ColoringOptions {
   uint64_t seed = 1;  ///< priority hash seed (determinism knob)
   uint32_t block_size = 256;
+
+  bool operator==(const ColoringOptions&) const = default;
 };
 
 struct ColoringResult {

@@ -12,6 +12,8 @@ namespace adgraph::core {
 
 struct CcOptions {
   uint32_t block_size = 256;
+
+  bool operator==(const CcOptions&) const = default;
 };
 
 struct CcResult {

@@ -12,6 +12,8 @@ namespace adgraph::core {
 
 struct JaccardOptions {
   uint32_t block_size = 256;
+
+  bool operator==(const JaccardOptions&) const = default;
 };
 
 struct JaccardResult {

@@ -13,6 +13,8 @@ namespace adgraph::core {
 struct KCoreOptions {
   uint32_t k = 2;
   uint32_t block_size = 256;
+
+  bool operator==(const KCoreOptions&) const = default;
 };
 
 struct KCoreResult {

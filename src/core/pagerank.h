@@ -4,17 +4,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
-#include "util/status.h"
-#include "vgpu/device.h"
-
 namespace adgraph::core {
 
+/// Options of PageRank.  The driver is engine::RunPageRank (reached through
+/// core::Run): semiring-SpMV pull formulation, each round one plus-times
+/// SpMV over the 1/out-degree-normalized transpose plus the damping and
+/// dangling correction — the linear-algebra style the paper describes for
+/// nvGRAPH (§3.2.1).
 struct PageRankOptions {
   double alpha = 0.85;          ///< damping factor
   uint32_t max_iterations = 50;
   double tolerance = 1e-7;      ///< L1 convergence threshold (0 = run all)
   uint32_t block_size = 256;
+
+  bool operator==(const PageRankOptions&) const = default;
 };
 
 struct PageRankResult {
@@ -23,17 +26,6 @@ struct PageRankResult {
   double l1_delta = 0;  ///< last iteration's L1 change
   double time_ms = 0;
 };
-
-/// Semiring-SpMV-based PageRank (pull formulation): each round is one
-/// plus-times SpMV over the 1/out-degree-normalized transpose, plus the
-/// damping/dangling correction — the linear-algebra style the paper
-/// describes for nvGRAPH (§3.2.1).
-class GraphResidency;
-
-Result<PageRankResult> RunPageRank(vgpu::Device* device,
-                                   const graph::CsrGraph& g,
-                                   const PageRankOptions& options,
-                                   GraphResidency* residency = nullptr);
 
 }  // namespace adgraph::core
 

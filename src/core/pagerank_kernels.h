@@ -10,16 +10,13 @@
 namespace adgraph::core::detail {
 
 /// ranks_next = base + alpha * ranks_next (applied after the pull SpMV) and
-/// accumulates |next - prev| into *delta.  Defined in pagerank.cc; exposed
-/// so the partitioned PageRank driver (src/part/) applies the identical
-/// update per shard.
+/// accumulates |next - prev| into *delta.
 vgpu::KernelTask ApplyDampingKernel(vgpu::Ctx& c, vgpu::DevPtr<double> next,
                                     vgpu::DevPtr<double> prev,
                                     vgpu::DevPtr<double> delta, double base,
                                     double alpha, uint32_t n);
 
 /// Sums the rank mass parked on dangling (out-degree 0) vertices into *out.
-/// Defined in pagerank.cc.
 vgpu::KernelTask DanglingSumKernel(vgpu::Ctx& c, vgpu::DevPtr<graph::eid_t> row,
                                    vgpu::DevPtr<double> ranks,
                                    vgpu::DevPtr<double> out, uint32_t n);

@@ -20,6 +20,8 @@ struct SsspOptions {
   /// standard frontier-based Bellman-Ford refinement).  Results are
   /// identical; work usually is not.
   bool use_frontier = true;
+
+  bool operator==(const SsspOptions&) const = default;
 };
 
 struct SsspResult {

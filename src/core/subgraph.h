@@ -16,6 +16,8 @@ struct EsbvOptions {
   /// The vertex subset to extract (need not be sorted; duplicates ignored).
   std::vector<graph::vid_t> vertices;
   uint32_t block_size = 256;
+
+  bool operator==(const EsbvOptions&) const = default;
 };
 
 /// Outcome of an extraction.

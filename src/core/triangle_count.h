@@ -38,6 +38,8 @@ struct TcOptions {
   /// where exact functional simulation is not affordable (documented in
   /// EXPERIMENTS.md).
   uint32_t vertex_sample = 1;
+
+  bool operator==(const TcOptions&) const = default;
 };
 
 /// Outcome of a triangle count.

@@ -15,6 +15,8 @@ struct WidestPathOptions {
   uint32_t block_size = 256;
   /// Safety bound on relaxation rounds (0 = num_vertices - 1).
   uint32_t max_rounds = 0;
+
+  bool operator==(const WidestPathOptions&) const = default;
 };
 
 struct WidestPathResult {

@@ -1,6 +1,8 @@
 #ifndef ADGRAPH_ENGINE_ALGORITHMS_H_
 #define ADGRAPH_ENGINE_ALGORITHMS_H_
 
+#include <span>
+
 #include "core/api.h"
 #include "engine/engine.h"
 #include "graph/csr.h"
@@ -9,23 +11,20 @@
 
 namespace adgraph::engine {
 
-/// \brief The engine-ported algorithms (DESIGN.md §2.11).
+/// \brief The engine algorithms (DESIGN.md §2.11).
 ///
 /// Each is a short driver over the shared Frontier/Advance/Filter
-/// operators; `core::Run` dispatches here.  Outputs are byte-identical to
-/// the seed `core::Run*` implementations wherever the paper's comparisons
-/// depend on them (golden_test):
+/// operators; `core::Run` dispatches here.  BFS and PageRank exist only
+/// here: golden_test pins their outputs, counters, modeled time bits and
+/// launch sequences to committed digests of the reference drivers.
 ///
-///  * BFS replays the seed's kernel codegen and direction heuristic
-///    operation for operation — levels, parents, depth, and iteration
-///    counts all match.
 ///  * SSSP / CC / widest-path converge to the unique semiring fixpoint
 ///    (min-plus, min-label, max-min), so the result arrays are bitwise
-///    equal even though the engine schedules work frontier-first; round
-///    counts may differ.
-///  * PageRank is floating-point-order sensitive, so the engine keeps the
-///    seed's exact kernel sequence (dangling sum, pull SpMV, damping) as a
-///    dense pull advance — ranks and iteration count match bitwise.
+///    equal to the core/ drivers even though the engine schedules work
+///    frontier-first; round counts and modeled time differ.
+///  * PageRank is floating-point-order sensitive, so it keeps one fixed
+///    kernel sequence (dangling sum, pull SpMV, damping) as a dense pull
+///    advance.
 ///
 /// `report`, when non-null, receives the per-run direction statistics.
 
@@ -42,11 +41,14 @@ Result<core::SsspResult> RunSssp(vgpu::Device* device,
                                  const EngineOptions& engine = {},
                                  EngineReport* report = nullptr);
 
+/// `initial_ranks`, when non-empty, warm-starts the iteration from that
+/// vector (one entry per vertex, uploaded off the clock) instead of 1/n.
 Result<core::PageRankResult> RunPageRank(
     vgpu::Device* device, const graph::CsrGraph& g,
     const core::PageRankOptions& options,
     core::GraphResidency* residency = nullptr, const EngineOptions& engine = {},
-    EngineReport* report = nullptr);
+    EngineReport* report = nullptr,
+    std::span<const double> initial_ranks = {});
 
 Result<core::CcResult> RunConnectedComponents(
     vgpu::Device* device, const graph::CsrGraph& g,

@@ -19,11 +19,11 @@ namespace adgraph::engine {
 ///     (pull), applying a per-edge functor;
 ///   * **Filter** — compact a predicate over the vertex set into a queue.
 ///
-/// The push kernels replicate the seed BFS top-down codegen operation for
-/// operation (shared-memory staging, one flush atomic per block), so an
-/// algorithm whose functor issues the same per-edge instructions as its
-/// hand-rolled predecessor produces bit-identical outputs on the
-/// deterministic vgpu simulator — the golden-suite gate.
+/// The push kernels keep the original BFS top-down codegen (shared-memory
+/// staging, one flush atomic per block), so an algorithm whose functor
+/// issues the same per-edge instructions as its hand-rolled predecessor
+/// produces bit-identical outputs on the deterministic vgpu simulator —
+/// the golden-suite gate.
 ///
 /// Functor concepts:
 ///
@@ -66,13 +66,13 @@ inline CsrView MakeView(const core::DeviceCsr& d) {
 /// How a push advance maps frontier entries to execution resources.
 enum class LoadBalance {
   kAuto,             ///< warp-per-vertex when mean degree >= 2*warp width
-  kThreadPerVertex,  ///< one thread per frontier entry (seed BFS codegen)
+  kThreadPerVertex,  ///< one thread per frontier entry (the BFS codegen)
   kWarpPerVertex,    ///< one warp per entry; lanes stride the adjacency
 };
 
-/// Shared-memory staging queue capacity (entries per block); same value as
-/// the seed BFS so the staged/overflow split — and therefore the output
-/// queue order — is preserved.
+/// Shared-memory staging queue capacity (entries per block); the value the
+/// BFS digests were captured with, so the staged/overflow split — and
+/// therefore the output queue order — is preserved.
 inline constexpr uint32_t kStageCapacity = 2048;
 /// Shared layout: [0] staging counter, [1] flush base, [2..] staged ids.
 inline constexpr uint32_t kStageHeaderWords = 2;
@@ -117,13 +117,12 @@ void StageEnqueue(Ctx& c, SmemPtr<vid_t> stage, SmemPtr<uint32_t> counter,
 // The staging prologue/epilogue around the per-source expansion contains
 // block barriers (co_await), which cannot be factored into a helper
 // coroutine — KernelTask is not awaitable — so the three push kernels
-// below share it textually, exactly as the seed BFS wrote it.
+// below share it textually.
 
 }  // namespace detail
 
-/// Push advance over a sparse (queue) frontier, one thread per entry.
-/// Instruction-for-instruction the seed BFS TopDownKernel with the BFS
-/// visit inlined as `op`.
+/// Push advance over a sparse (queue) frontier, one thread per entry: the
+/// BFS top-down step, with the visit supplied as `op`.
 template <typename EdgeOp>
 vgpu::KernelTask PushAdvanceSparseKernel(vgpu::Ctx& c, CsrView g,
                                          vgpu::DevPtr<graph::vid_t> in_queue,
@@ -325,8 +324,8 @@ vgpu::KernelTask PushAdvanceWarpKernel(vgpu::Ctx& c, CsrView g,
 /// Pull (bottom-up) advance: every vertex passing `Eligible` scans its
 /// adjacency for an admitting neighbor, early-exiting on the first hit;
 /// newly admitted vertices are tallied into `out_count` with one warp
-/// reduction + atomic.  Instruction-for-instruction the seed BFS
-/// BottomUpKernel with the level test inlined as `op`.
+/// reduction + atomic.  The BFS bottom-up step, with the level test
+/// supplied as `op`.
 template <typename PullOp>
 vgpu::KernelTask PullAdvanceKernel(vgpu::Ctx& c, CsrView g,
                                    vgpu::DevPtr<uint32_t> out_count,
@@ -362,8 +361,8 @@ vgpu::KernelTask PullAdvanceKernel(vgpu::Ctx& c, CsrView g,
 }
 
 /// Filter: compacts the vertices passing `pred` into `out_queue` with
-/// thread-ordered atomic ticketing.  Instruction-for-instruction the seed
-/// BFS LevelsToQueueKernel with the level test inlined as `pred`.
+/// thread-ordered atomic ticketing.  BFS rebuilds its queue after a pull
+/// round with it (the level test supplied as `pred`).
 template <typename Pred>
 vgpu::KernelTask FilterToQueueKernel(vgpu::Ctx& c, uint32_t n,
                                      vgpu::DevPtr<graph::vid_t> out_queue,

@@ -1,3 +1,4 @@
+#include <span>
 #include <utility>
 
 #include "core/pagerank.h"
@@ -20,22 +21,27 @@ using vgpu::Ctx;
 
 }  // namespace
 
-// PageRank is floating-point-order sensitive, so the engine port does not
-// re-derive the iteration from advance functors: it drives the seed's exact
-// kernel sequence (dangling sum -> pull SpMV over the normalized transpose
-// -> damping) as one dense pull advance per round.  Ranks, iteration count,
-// and l1_delta are bitwise identical to core::RunPageRank; the engine's
-// contribution is the direction arbitration and per-round decision record.
-Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
-                                         const graph::CsrGraph& g,
-                                         const core::PageRankOptions& options,
-                                         core::GraphResidency* residency,
-                                         const EngineOptions& engine,
-                                         EngineReport* report) {
+// PageRank is floating-point-order sensitive, so it is not re-derived from
+// advance functors: each round is the fixed kernel sequence dangling sum ->
+// pull SpMV over the normalized transpose -> damping, one dense pull
+// advance whose ranks, iteration count, l1_delta and modeled time
+// golden_test pins bit for bit.  The engine's contribution is the direction
+// arbitration and per-round decision record.  A warm start (incremental
+// recompute, DESIGN.md §2.12) runs the same loop from `initial_ranks`.
+Result<core::PageRankResult> RunPageRank(
+    vgpu::Device* device, const graph::CsrGraph& g,
+    const core::PageRankOptions& options, core::GraphResidency* residency,
+    const EngineOptions& engine, EngineReport* report,
+    std::span<const double> initial_ranks) {
   const vid_t n = g.num_vertices();
   if (n == 0) return Status::InvalidArgument("PageRank on empty graph");
   if (options.alpha <= 0 || options.alpha >= 1) {
     return Status::InvalidArgument("damping factor must be in (0,1)");
+  }
+  const bool warm = !initial_ranks.empty();
+  if (warm && initial_ranks.size() != n) {
+    return Status::InvalidArgument(
+        "initial ranks do not match the vertex count");
   }
   if (engine.direction == DirectionPolicy::kPushOnly) {
     return Status::FailedPrecondition(
@@ -47,6 +53,7 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
   algo_span.ArgNum("num_vertices", static_cast<uint64_t>(n));
   algo_span.ArgNum("max_iterations",
                    static_cast<uint64_t>(options.max_iterations));
+  algo_span.ArgNum("warm_start", static_cast<uint64_t>(warm));
 
   ADGRAPH_ASSIGN_OR_RETURN(
       core::ResidentCsr staged,
@@ -61,9 +68,16 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
   ADGRAPH_ASSIGN_OR_RETURN(auto scalars,
                            rt::DeviceBuffer<double>::Create(device, 2));
 
+  // A warm start uploads before the clock starts; a cold one fills 1/n on
+  // the clock.
+  if (warm) {
+    ADGRAPH_RETURN_NOT_OK(ranks.Upload(initial_ranks.data(), n));
+  }
   rt::DeviceTimer timer(device);
-  ADGRAPH_RETURN_NOT_OK(
-      core::primitives::Fill<double>(device, ranks.ptr(), n, 1.0 / n));
+  if (!warm) {
+    ADGRAPH_RETURN_NOT_OK(
+        core::primitives::Fill<double>(device, ranks.ptr(), n, 1.0 / n));
+  }
 
   // Every vertex pulls every round: the frontier is dense and full-width
   // for the entire run, and the direction engine records a pull per round.
@@ -116,6 +130,9 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
     ADGRAPH_ASSIGN_OR_RETURN(
         result.l1_delta,
         core::primitives::GetElement<double>(device, scalars.ptr(), 1));
+    // Convergence trajectory on the span tree: an inspected warm-start job
+    // shows how close the previous ranks already were.
+    sweep.ArgNum("l1_delta", result.l1_delta);
 
     std::swap(ranks, next);
     result.iterations = iter + 1;
@@ -124,6 +141,7 @@ Result<core::PageRankResult> RunPageRank(vgpu::Device* device,
 
   result.time_ms = timer.ElapsedMs();
   ADGRAPH_ASSIGN_OR_RETURN(result.ranks, ranks.ToHost());
+  algo_span.ArgNum("iterations", static_cast<uint64_t>(result.iterations));
   if (report != nullptr) report->direction = director.stats();
   return result;
 }

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -568,7 +569,8 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   spec.ooc_shard_bytes =
       static_cast<uint64_t>(request.GetNumber("shard_bytes", 0));
   // Incremental recompute (DESIGN.md §2.12): warm-start from the newest
-  // stored result of this algorithm on this mutable graph.
+  // stored result of this algorithm with these params on this mutable
+  // graph.
   const bool incremental = request.GetBool("incremental", false);
   bool cold_warm_start = false;
   if (incremental) {
@@ -579,10 +581,9 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
                                "nothing to recompute incrementally");
     }
     std::lock_guard<std::mutex> lock(dyn->mutex);
-    auto prev = dyn->previous.find(spec.params.index());
-    if (prev != dyn->previous.end()) {
-      spec.warm_start = prev->second.payload;
-      spec.previous_version = prev->second.version;
+    if (const auto* prev = dyn->FindPrevious(spec.params); prev != nullptr) {
+      spec.warm_start = prev->payload;
+      spec.previous_version = prev->version;
       spec.delta = &dyn->delta;
       spec.delta_mutex = &dyn->mutex;
     } else {
@@ -591,7 +592,8 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
       cold_warm_start = true;
     }
   }
-  const size_t algo_index = spec.params.index();
+  serve::JobParams store_key =
+      dyn != nullptr ? spec.params : serve::JobParams{};
   const uint64_t estimate = serve::EstimateJobDeviceBytes(spec);
 
   // Trace-context propagation (DESIGN.md §2.14).  The wire job id is
@@ -638,7 +640,7 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   pending.charged = conn->quotas_enforced;
   pending.charged_bytes = estimate;
   pending.dynamic_graph = dyn != nullptr ? graph_name : "";
-  pending.algo_index = algo_index;
+  pending.params = std::move(store_key);
   pending.snapshot_version = snapshot_version;
   pending.incremental_requested = incremental;
   pending.cold_warm_start = cold_warm_start;
@@ -654,6 +656,38 @@ Json Server::HandleSubmit(Connection* conn, const Json& request) {
   std::string tag = request.GetString("tag", "");
   if (!tag.empty()) response.Set("tag", tag);
   return response;
+}
+
+const Server::DynamicGraph::PreviousResult*
+Server::DynamicGraph::FindPrevious(const serve::JobParams& params) const {
+  for (const PreviousResult& prev : previous) {
+    if (prev.params == params) return &prev;
+  }
+  return nullptr;
+}
+
+void Server::DynamicGraph::StorePrevious(const serve::JobParams& params,
+                                         const serve::JobPayload& payload,
+                                         uint64_t version) {
+  auto slot = std::find_if(
+      previous.begin(), previous.end(),
+      [&](const PreviousResult& prev) { return prev.params == params; });
+  if (slot == previous.end()) {
+    if (previous.size() < kMaxWarmStarts) {
+      slot = previous.emplace(previous.end());
+    } else {
+      slot = std::min_element(previous.begin(), previous.end(),
+                              [](const PreviousResult& a,
+                                 const PreviousResult& b) {
+                                return a.version < b.version;
+                              });
+    }
+    slot->params = params;
+  } else if (version < slot->version) {
+    return;
+  }
+  slot->payload = std::make_shared<const serve::JobPayload>(payload);
+  slot->version = version;
 }
 
 void Server::ReleaseCharge(const std::string& tenant, PendingJob* job) {
@@ -686,12 +720,7 @@ void Server::RefreshPendingJob(Connection* conn, uint64_t job_id,
                                    ? job->outcome.result_version
                                    : job->snapshot_version;
       std::lock_guard<std::mutex> lock(dyn->mutex);
-      auto& prev = dyn->previous[job->algo_index];
-      if (prev.payload == nullptr || version >= prev.version) {
-        prev.payload =
-            std::make_shared<const serve::JobPayload>(job->outcome.payload);
-        prev.version = version;
-      }
+      dyn->StorePrevious(job->params, job->outcome.payload, version);
     }
   }
 }

@@ -115,7 +115,8 @@ class Server {
     /// Non-empty when the job ran on a mutable graph: the name whose
     /// warm-start store a successful outcome seeds (DESIGN.md §2.12).
     std::string dynamic_graph;
-    size_t algo_index = 0;
+    /// The job's params: the key of the warm-start entry it seeds.
+    serve::JobParams params;
     /// Delta version of the snapshot the job was submitted against.
     uint64_t snapshot_version = 0;
     bool incremental_requested = false;
@@ -217,14 +218,24 @@ class Server {
     graph::DeltaGraph delta;
     std::shared_ptr<const graph::CsrGraph> snapshot;
     /// Warm-start source of `"incremental": true` submits: the newest
-    /// successful payload per algorithm (keyed by the params variant
-    /// index) and the delta version it corresponds to.  Guarded by
-    /// `mutex`; seeded by every successful job on this graph.
+    /// successful payload per algorithm and params (a BFS from A never
+    /// warm-starts a BFS from B) and the delta version it corresponds to.
+    /// Guarded by `mutex`; seeded by every successful job on this graph.
     struct PreviousResult {
+      serve::JobParams params;
       std::shared_ptr<const serve::JobPayload> payload;
       uint64_t version = 0;
     };
-    std::map<size_t, PreviousResult> previous;
+    /// At most kMaxWarmStarts entries; a new key replaces the oldest.
+    static constexpr size_t kMaxWarmStarts = 16;
+    std::vector<PreviousResult> previous;
+
+    /// The entry computed with exactly `params`, or null.
+    const PreviousResult* FindPrevious(const serve::JobParams& params) const;
+    /// Records `payload` (computed at `version`) under `params` unless a
+    /// newer result for the same params is already stored.
+    void StorePrevious(const serve::JobParams& params,
+                       const serve::JobPayload& payload, uint64_t version);
   };
 
   serve::Scheduler* scheduler_;

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/bfs.h"
-#include "core/bfs_kernels.h"
 #include "core/device_graph.h"
+#include "engine/operators.h"
 #include "runtime/runtime.h"
 #include "trace/trace.h"
 #include "vgpu/ctx.h"
@@ -16,9 +16,10 @@
 namespace adgraph::part {
 namespace {
 
-using core::detail::BfsDeviceState;
-using core::detail::StageSharedBytes;
 using core::kUnreachedLevel;
+using engine::kStageCapacity;
+using engine::kStageHeaderWords;
+using engine::StageSharedBytes;
 using graph::eid_t;
 using graph::vid_t;
 using vgpu::Ctx;
@@ -27,14 +28,20 @@ using vgpu::KernelTask;
 using vgpu::Lanes;
 using vgpu::SmemPtr;
 
-/// Shared staging mirror of core::detail::TopDownKernel's layout (same
-/// capacity, same header) — see core/bfs.cc.
-constexpr uint32_t kStageCapacity = 2048;
-constexpr uint32_t kStageHeaderWords = 2;
+/// Device-side state of one shard's expansion.
+struct BfsDeviceState {
+  DevPtr<eid_t> row;
+  DevPtr<vid_t> col;
+  DevPtr<uint32_t> levels;
+  DevPtr<vid_t> frontier;
+  DevPtr<vid_t> next_frontier;
+  DevPtr<uint32_t> next_size;
+};
 
 /// Fused top-down expansion + owner routing: the single per-round compute
 /// launch of each shard.  Identical discovery semantics to the
-/// single-device TopDownKernel (same CAS, same level assignment — that is
+/// single-device push advance (engine/operators.h, engine/bfs.cc: same
+/// CAS, same level assignment, same shared-memory staging — that is
 /// what keeps partitioned levels byte-identical); the only difference is
 /// where a winner is appended: owned ids ([lo, hi)) go through the
 /// shared-memory staging queue into the local next frontier, remote ids
@@ -225,7 +232,6 @@ Result<PartBfsResult> RunPartitionedBfs(PartitionedEngine* engine,
       state.row = s.csr.row_offsets.ptr();
       state.col = s.csr.col_indices.ptr();
       state.levels = s.levels.ptr();
-      state.parents = DevPtr<vid_t>{};
       state.frontier = s.frontier.ptr();
       state.next_frontier = s.owned_queue.ptr();
       state.next_size = s.counters.ptr() + kOwnedSize;

@@ -14,6 +14,7 @@
 #include "core/spmv.h"
 #include "core/sssp.h"
 #include "core/widest_path.h"
+#include "engine/algorithms.h"
 #include "graph/builder.h"
 #include "graph/generate.h"
 #include "util/random.h"
@@ -23,6 +24,7 @@
 namespace adgraph::core {
 namespace {
 
+using engine::RunPageRank;
 using graph::CsrGraph;
 using graph::GraphBuilder;
 using graph::vid_t;

@@ -4,6 +4,7 @@
 
 #include "core/bfs.h"
 #include "core/host_ref.h"
+#include "engine/algorithms.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generate.h"
@@ -13,6 +14,7 @@
 namespace adgraph::core {
 namespace {
 
+using engine::RunBfs;
 using graph::CsrGraph;
 using graph::GraphBuilder;
 using vgpu::A100Config;

@@ -4,6 +4,7 @@
 #include "core/host_ref.h"
 #include "core/subgraph.h"
 #include "core/triangle_count.h"
+#include "engine/algorithms.h"
 #include "graph/datasets.h"
 #include "prof/metrics.h"
 #include "prof/session.h"
@@ -15,7 +16,7 @@ namespace {
 
 using core::BfsOptions;
 using core::EsbvOptions;
-using core::RunBfs;
+using engine::RunBfs;
 using core::RunTriangleCount;
 using graph::CsrGraph;
 using vgpu::Device;

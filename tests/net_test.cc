@@ -731,6 +731,97 @@ TEST(ServerTest, IncrementalSubmitReportsPathOnWire) {
       << fell_done.Dump();
 }
 
+TEST(ServerTest, IncrementalSubmitWarmStartsOnlyFromEqualParams) {
+  // The warm-start store is keyed by algorithm and params: a BFS rooted at
+  // one source must never seed an incremental BFS rooted at another.
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  auto run = [&](const std::string& request) {
+    auto submitted = client.Call(Json::Parse(request).value()).value();
+    EXPECT_TRUE(submitted.GetBool("ok", false)) << submitted.Dump();
+    auto done = client.WaitJob(
+        static_cast<uint64_t>(submitted.GetNumber("job", 0))).value();
+    EXPECT_EQ(done.GetString("status", ""), "ok") << done.Dump();
+    return done;
+  };
+  const std::string bfs_a =
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":3})";
+  const std::string bfs_b =
+      R"({"op":"SUBMIT","algo":"bfs","params":{"source":5})";
+  const std::string incremental = R"(,"incremental":true})";
+
+  run(bfs_a + "}");  // seeds the store with A-rooted levels
+  Json updates = Json::MakeArray();
+  for (uint32_t v = 60; v < 68; ++v) {
+    Json update = Json::MakeObject();
+    update.Set("op", "add");
+    update.Set("u", 0);
+    update.Set("v", static_cast<double>(v));
+    updates.PushBack(std::move(update));
+  }
+  ASSERT_GT(client.Mutate("default", std::move(updates))
+                .value()
+                .GetNumber("applied", 0),
+            0);
+
+  // No B-rooted result exists: the incremental ask runs cold and answers
+  // exactly what a full BFS from B answers.
+  auto warm_b = run(bfs_b + incremental);
+  EXPECT_FALSE(warm_b.GetBool("incremental", true)) << warm_b.Dump();
+  auto full_b = run(bfs_b + "}");
+  EXPECT_EQ(warm_b.GetString("fingerprint", ""),
+            full_b.GetString("fingerprint", ""));
+
+  // A's entry survived B's runs and still warm-starts A.
+  auto warm_a = run(bfs_a + incremental);
+  EXPECT_TRUE(warm_a.GetBool("incremental", false)) << warm_a.Dump();
+  auto full_a = run(bfs_a + "}");
+  EXPECT_EQ(warm_a.GetString("fingerprint", ""),
+            full_a.GetString("fingerprint", ""));
+  EXPECT_NE(full_a.GetString("fingerprint", ""),
+            full_b.GetString("fingerprint", ""));
+}
+
+TEST(ServerTest, WarmStartStoreDropsOldestBeyondItsCap) {
+  // The store keeps 16 params keys per graph: a 17th evicts the oldest
+  // version, whose next incremental ask then runs cold.
+  auto live = StartServer(TestGraph());
+  auto client = Client::Connect("127.0.0.1", live.server->port()).value();
+  ASSERT_TRUE(client.Hello("x").ok());
+  auto run = [&](uint32_t source, bool incremental) {
+    auto submitted =
+        client.Call(Json::Parse(R"({"op":"SUBMIT","algo":"bfs","params":)"
+                                R"({"source":)" +
+                                std::to_string(source) + "}" +
+                                (incremental ? R"(,"incremental":true})"
+                                             : "}"))
+                        .value())
+            .value();
+    EXPECT_TRUE(submitted.GetBool("ok", false)) << submitted.Dump();
+    return client
+        .WaitJob(static_cast<uint64_t>(submitted.GetNumber("job", 0)))
+        .value();
+  };
+  run(0, false);  // version 0
+  Json updates = Json::MakeArray();
+  Json update = Json::MakeObject();
+  update.Set("op", "add");
+  update.Set("u", 1);
+  update.Set("v", 60);
+  updates.PushBack(std::move(update));
+  ASSERT_GT(client.Mutate("default", std::move(updates))
+                .value()
+                .GetNumber("applied", 0),
+            0);
+  for (uint32_t source = 1; source <= 16; ++source) run(source, false);
+
+  auto kept = run(16, true);
+  EXPECT_TRUE(kept.GetBool("incremental", false)) << kept.Dump();
+  auto evicted = run(0, true);
+  EXPECT_FALSE(evicted.GetBool("incremental", true)) << evicted.Dump();
+}
+
 TEST(ServerTest, IncrementalOnStaticGraphIsFailedPrecondition) {
   // A base with duplicate adjacency fails delta normal-form validation and
   // stays static: SUBMIT works, incremental asks are a structured error.

@@ -17,6 +17,7 @@
 #include "core/api.h"
 #include "core/host_ref.h"
 #include "core/residency.h"
+#include "engine/algorithms.h"
 #include "graph/csr.h"
 #include "graph/delta.h"
 #include "graph/generate.h"
@@ -140,7 +141,7 @@ TEST(SchedulerTest, SingleJobMatchesDirectExecution) {
   core::BfsOptions bfs_options;
   bfs_options.source = 0;
   bfs_options.assume_symmetric = true;
-  auto direct_result = core::RunBfs(&direct, *g, bfs_options).value();
+  auto direct_result = engine::RunBfs(&direct, *g, bfs_options).value();
   EXPECT_EQ(FingerprintPayload(outcome.payload),
             FingerprintPayload(JobPayload(std::move(direct_result))));
 }
@@ -1146,7 +1147,7 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
 
   // The incremental fixpoint agrees with a cold full recompute.
   vgpu::Device direct(vgpu::A100Config());
-  auto full = core::RunBfs(&direct, *snap1, bfs).value();
+  auto full = engine::RunBfs(&direct, *snap1, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(incremental.payload).levels,
             full.levels);
   EXPECT_EQ(CounterTotal(scheduler->metrics_registry(),
@@ -1173,7 +1174,7 @@ TEST(SchedulerTest, WarmStartRunsIncrementallyAndFallbackIsObservable) {
   EXPECT_NE(fallback.fallback_reason.find("deletion"), std::string::npos)
       << fallback.fallback_reason;
   EXPECT_EQ(fallback.result_version, delta.version());
-  auto full2 = core::RunBfs(&direct, *snap2, bfs).value();
+  auto full2 = engine::RunBfs(&direct, *snap2, bfs).value();
   EXPECT_EQ(std::get<core::BfsResult>(fallback.payload).levels,
             full2.levels);
   EXPECT_EQ(CounterTotal(scheduler->metrics_registry(),

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/bfs.h"
+#include "engine/algorithms.h"
 #include "graph/builder.h"
 #include "graph/generate.h"
 #include "prof/report.h"
@@ -229,7 +230,7 @@ TEST(TraceTest, KernelSpansCarryCycleBreakdown) {
   adgraph::vgpu::Device device(adgraph::vgpu::A100Config());
   adgraph::core::BfsOptions bfs;
   bfs.source = 0;
-  ASSERT_TRUE(adgraph::core::RunBfs(&device, g, bfs).ok());
+  ASSERT_TRUE(adgraph::engine::RunBfs(&device, g, bfs).ok());
   ASSERT_TRUE(adgraph::trace::Stop().ok());
 
   auto events = ParseTraceFile(path);
