@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -34,25 +35,36 @@ void BM_RngNext64(benchmark::State& state) {
 BENCHMARK(BM_RngNext64);
 
 void BM_CoalesceSequential(benchmark::State& state) {
+  const uint32_t width = static_cast<uint32_t>(state.range(0));
   vgpu::Lanes<uint64_t> addrs;
-  for (uint32_t i = 0; i < 32; ++i) addrs[i] = i * 4;
+  for (uint32_t i = 0; i < width; ++i) addrs[i] = i * 4;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vgpu::Coalesce(addrs, vgpu::FullMask(32), 4, 32));
+        vgpu::Coalesce(addrs, vgpu::FullMask(width), 4, 32));
   }
 }
-BENCHMARK(BM_CoalesceSequential);
+// 32 lanes is an NVIDIA warp, 64 the Z100L wavefront.
+BENCHMARK(BM_CoalesceSequential)->Arg(32)->Arg(64);
 
+/// Scattered gathers, each iteration drawing the next warp from a pool of
+/// precomputed random address sets: coalescing one fixed set would let the
+/// branch predictor learn its sort.
 void BM_CoalesceScattered(benchmark::State& state) {
-  vgpu::Lanes<uint64_t> addrs;
+  const uint32_t width = static_cast<uint32_t>(state.range(0));
+  constexpr uint32_t kPoolSize = 1024;
+  std::vector<vgpu::Lanes<uint64_t>> pool(kPoolSize);
   Rng rng(3);
-  for (uint32_t i = 0; i < 32; ++i) addrs[i] = rng.Uniform(1 << 20);
+  for (auto& addrs : pool) {
+    for (uint32_t i = 0; i < width; ++i) addrs[i] = rng.Uniform(1 << 20);
+  }
+  uint32_t next = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vgpu::Coalesce(addrs, vgpu::FullMask(32), 4, 32));
+        vgpu::Coalesce(pool[next], vgpu::FullMask(width), 4, 32));
+    next = (next + 1) % kPoolSize;
   }
 }
-BENCHMARK(BM_CoalesceScattered);
+BENCHMARK(BM_CoalesceScattered)->Arg(32)->Arg(64);
 
 void BM_CacheAccess(benchmark::State& state) {
   vgpu::CacheModel cache(40 << 20, 128, 16);

@@ -95,7 +95,8 @@ struct ArchConfig {
 /// lanes_per_sm and the two bandwidth figures, so a zero / negative /
 /// non-finite value would turn every cycle count into inf/NaN and poison
 /// the MTEPS tables downstream; such configs are rejected with
-/// kInvalidArgument instead.
+/// kInvalidArgument instead.  The memory model also needs power-of-two
+/// line and segment sizes, and segments of at least 16 bytes.
 Status ValidateArchConfig(const ArchConfig& config);
 
 /// Built-in configs reproducing paper Table 3.  References stay valid for

@@ -107,7 +107,7 @@ void Ctx::AccountAtomic(const Lanes<uint64_t>& addrs, uint32_t access_bytes) {
       ++distinct;
       run = 1;
       uint64_t seg =
-          sorted[i] / arch_->mem_segment_bytes * arch_->mem_segment_bytes;
+          sorted[i] & ~static_cast<uint64_t>(arch_->mem_segment_bytes - 1);
       if (!l2_->Access(seg)) {
         counters_->l2_misses += 1;
         counters_->dram_write_bytes += arch_->mem_segment_bytes;

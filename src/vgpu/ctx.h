@@ -41,20 +41,19 @@ namespace adgraph::vgpu {
 ///    control flow (checked at runtime), like `__syncthreads()`.
 class Ctx {
  public:
+  /// One context per warp slot of a launch; BeginBlock points it at a block
+  /// before each run of the kernel.
   Ctx(const ArchConfig* arch, const TimingParams* params, AddressSpace* global,
-      CacheModel* l1, CacheModel* l2, SharedMemory* smem,
-      KernelCounters* counters, uint32_t grid_dim, uint32_t block_dim,
-      uint32_t block_id, uint32_t warp_in_block)
+      CacheModel* l2, SharedMemory* smem, KernelCounters* counters,
+      uint32_t grid_dim, uint32_t block_dim, uint32_t warp_in_block)
       : arch_(arch),
         params_(params),
         global_(global),
-        l1_(l1),
         l2_(l2),
         smem_(smem),
         counters_(counters),
         grid_dim_(grid_dim),
         block_dim_(block_dim),
-        block_id_(block_id),
         warp_in_block_(warp_in_block) {
     width_ = arch_->warp_width;
     uint32_t first_thread = warp_in_block_ * width_;
@@ -62,7 +61,17 @@ class Ctx {
                         ? std::min(width_, block_dim_ - first_thread)
                         : 0;
     entry_mask_ = FullMask(live);
+  }
+
+  /// Re-points the context at `block_id`, running on the SM that owns
+  /// `l1`, with the warp's entry mask, no open branches and no barrier.
+  void BeginBlock(uint32_t block_id, CacheModel* l1) {
+    block_id_ = block_id;
+    l1_ = l1;
     active_ = entry_mask_;
+    depth_ = 0;
+    divergence_depth_ = 0;
+    at_barrier_ = false;
   }
 
   Ctx(const Ctx&) = delete;
@@ -108,9 +117,13 @@ class Ctx {
   // ====================== Constants ====================================
 
   /// Broadcast of an immediate; free (folded into consuming instructions).
+  /// Lanes at or beyond the warp width are never active, so they stay
+  /// unwritten.
   template <typename T>
   Lanes<T> Splat(T value) const {
-    return Lanes<T>::Splat(value);
+    Lanes<T> out;
+    std::fill_n(out.v.begin(), width_, value);
+    return out;
   }
 
   // ====================== Arithmetic (VALU) ==============================
@@ -692,14 +705,14 @@ class Ctx {
   const ArchConfig* arch_;
   const TimingParams* params_;
   AddressSpace* global_;
-  CacheModel* l1_;
+  CacheModel* l1_ = nullptr;
   CacheModel* l2_;
   SharedMemory* smem_;
   KernelCounters* counters_;
 
   uint32_t grid_dim_;
   uint32_t block_dim_;
-  uint32_t block_id_;
+  uint32_t block_id_ = 0;
   uint32_t warp_in_block_;
   uint32_t width_;
 

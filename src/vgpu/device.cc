@@ -1,6 +1,7 @@
 #include "vgpu/device.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "vgpu/mem/shared_mem.h"
 
@@ -17,6 +18,11 @@ Device::Device(const ArchConfig& arch, Options options)
       options_(options),
       mem_(static_cast<uint64_t>(static_cast<double>(arch.dram_capacity_bytes) /
                                  std::max(options.memory_scale, 1e-9))) {
+  // The memory model turns segment and line arithmetic into shifts and
+  // masks (CacheModel checks the line size itself).
+  ADGRAPH_CHECK(std::has_single_bit(arch_.mem_segment_bytes))
+      << arch_.name << ": mem_segment_bytes " << arch_.mem_segment_bytes
+      << " is not a power of two";
   // memory_scale > 1 shrinks capacity (scaled experiments); < 1 would grow.
   l1_.reserve(arch_.num_sms);
   for (uint32_t i = 0; i < arch_.num_sms; ++i) {
@@ -73,11 +79,6 @@ Result<KernelStats> Device::Launch(std::string_view name, LaunchDims dims,
   stats.block = dims.block;
   KernelCounters& counters = stats.counters;
 
-  uint64_t l2_hits_before = l2_->hits();
-  uint64_t l2_misses_before = l2_->misses();
-  (void)l2_hits_before;
-  (void)l2_misses_before;
-
   const uint32_t warps_per_block =
       (dims.block + arch_.warp_width - 1) / arch_.warp_width;
 
@@ -98,20 +99,28 @@ Result<KernelStats> Device::Launch(std::string_view name, LaunchDims dims,
            scalar_weight * static_cast<double>(counters.scalar_inst);
   };
 
+  // Warp contexts are built once per launch and re-pointed at each block;
+  // the coroutine frames of one block are recycled for the next (see
+  // KernelTask::promise_type).
+  std::vector<std::unique_ptr<Ctx>> ctxs;
+  ctxs.reserve(warps_per_block);
+  for (uint32_t w = 0; w < warps_per_block; ++w) {
+    ctxs.push_back(std::make_unique<Ctx>(&arch_, &options_.timing, &mem_,
+                                         l2_.get(), smem_ptr, &counters,
+                                         dims.grid, dims.block, w));
+  }
+  std::vector<KernelTask> tasks;
+  tasks.reserve(warps_per_block);
+
   for (uint32_t block = 0; block < dims.grid; ++block) {
     const uint32_t sm = block % arch_.num_sms;
     const double inst_before = issue_work();
 
-    // Build the block's warps.
-    std::vector<std::unique_ptr<Ctx>> ctxs;
-    std::vector<KernelTask> tasks;
-    ctxs.reserve(warps_per_block);
-    tasks.reserve(warps_per_block);
+    // Start the block's warps.
+    tasks.clear();
     for (uint32_t w = 0; w < warps_per_block; ++w) {
-      ctxs.push_back(std::make_unique<Ctx>(
-          &arch_, &options_.timing, &mem_, l1_[sm].get(), l2_.get(), smem_ptr,
-          &counters, dims.grid, dims.block, block, w));
-      tasks.push_back(kernel(*ctxs.back()));
+      ctxs[w]->BeginBlock(block, l1_[sm].get());
+      tasks.push_back(kernel(*ctxs[w]));
     }
     counters.blocks_launched += 1;
     counters.warps_launched += warps_per_block;

@@ -2,11 +2,22 @@
 #define ADGRAPH_VGPU_KERNEL_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <utility>
 
 namespace adgraph::vgpu {
+
+namespace internal {
+/// Coroutine-frame allocator behind KernelTask.  Device::Launch frees a
+/// block's frames before it creates the next block's, and every warp of a
+/// launch runs the same kernel, so frames are recycled through a small
+/// per-thread cache matched by size: after a launch's first block, warps
+/// start without touching the heap.  Nothing is shared between threads.
+void* AllocateKernelFrame(std::size_t bytes);
+void FreeKernelFrame(void* frame, std::size_t bytes) noexcept;
+}  // namespace internal
 
 /// \brief The return type of a simulated GPU kernel.
 ///
@@ -31,6 +42,13 @@ namespace adgraph::vgpu {
 class KernelTask {
  public:
   struct promise_type {
+    static void* operator new(std::size_t bytes) {
+      return internal::AllocateKernelFrame(bytes);
+    }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      internal::FreeKernelFrame(frame, bytes);
+    }
+
     KernelTask get_return_object() {
       return KernelTask(
           std::coroutine_handle<promise_type>::from_promise(*this));

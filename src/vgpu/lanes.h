@@ -31,10 +31,13 @@ inline bool LaneActive(LaneMask m, uint32_t lane) {
 /// Lanes is a plain value container; all arithmetic on it is performed via
 /// the Ctx execution DSL so that every operation is counted and timed by
 /// the simulator.  Inactive lanes hold stale values that must never be
-/// observed (the DSL only reads lanes covered by the active mask).
+/// observed (the DSL only reads lanes covered by the active mask).  A
+/// default-constructed Lanes is therefore left uninitialized: every DSL
+/// result would otherwise zero all 64 lanes only to overwrite the live
+/// ones.
 template <typename T>
 struct Lanes {
-  std::array<T, kMaxWarpWidth> v{};
+  std::array<T, kMaxWarpWidth> v;
 
   T& operator[](uint32_t lane) { return v[lane]; }
   const T& operator[](uint32_t lane) const { return v[lane]; }

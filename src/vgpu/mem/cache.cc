@@ -1,49 +1,30 @@
 #include "vgpu/mem/cache.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/logging.h"
 
 namespace adgraph::vgpu {
 
+namespace {
+uint32_t CheckedLineBytes(uint32_t line_bytes) {
+  ADGRAPH_CHECK(std::has_single_bit(line_bytes))
+      << "cache line size " << line_bytes << " is not a power of two";
+  return line_bytes;
+}
+}  // namespace
+
 CacheModel::CacheModel(uint64_t size_bytes, uint32_t line_bytes,
                        uint32_t associativity)
-    : line_bytes_(line_bytes == 0 ? 1 : line_bytes),
+    : line_bytes_(CheckedLineBytes(line_bytes)),
+      line_shift_(static_cast<uint32_t>(std::countr_zero(line_bytes))),
       assoc_(std::max<uint32_t>(associativity, 1)),
-      num_sets_(size_bytes / (static_cast<uint64_t>(line_bytes_) * assoc_)) {
+      num_sets_(size_bytes / (static_cast<uint64_t>(line_bytes_) * assoc_)),
+      set_mask_(std::has_single_bit(num_sets_) ? num_sets_ - 1 : kNoSetMask) {
   ways_.resize(num_sets_ * assoc_);
 }
 
-bool CacheModel::Access(uint64_t addr) {
-  if (num_sets_ == 0) {
-    ++misses_;
-    return false;
-  }
-  uint64_t line = addr / line_bytes_;
-  uint64_t set = line % num_sets_;
-  uint64_t tag = line / num_sets_;
-  Way* base = &ways_[set * assoc_];
-  ++stamp_;
-  // Hit scan first (the common case); only a miss pays the victim scan.
-  for (uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].lru = stamp_;
-      ++hits_;
-      return true;
-    }
-  }
-  Way* victim = base;
-  for (uint32_t w = 1; w < assoc_; ++w) {
-    if (!victim->valid) break;
-    if (!base[w].valid || base[w].lru < victim->lru) victim = &base[w];
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = stamp_;
-  ++misses_;
-  return false;
-}
-
-void CacheModel::Clear() {
-  for (auto& way : ways_) way = Way{};
-}
+void CacheModel::Clear() { std::fill(ways_.begin(), ways_.end(), Way{}); }
 
 }  // namespace adgraph::vgpu

@@ -11,15 +11,18 @@ namespace adgraph::vgpu {
 /// Result of coalescing one warp-level memory instruction.
 ///
 /// Allocation-free: segments live in a fixed inline array (a 64-lane access
-/// of up to 16 bytes can touch at most 128 segments).  This sits on the
-/// hottest path of the simulator — one instance per memory instruction.
+/// no wider than a segment can touch at most 128 segments).  This sits on
+/// the hottest path of the simulator — one instance per memory instruction
+/// — so the array is left uninitialized: only [0, num_segments) is ever
+/// written or read.
 struct CoalesceResult {
   /// Hard bound: kMaxWarpWidth lanes x (access straddling one boundary).
   static constexpr uint32_t kMaxSegments = 2 * kMaxWarpWidth;
 
   /// Distinct memory segments the instruction touches, ascending.  One
-  /// segment = one memory transaction.
-  std::array<uint64_t, kMaxSegments> segment_addrs{};
+  /// segment = one memory transaction.  The order is also the order in
+  /// which the L1/L2 models see them, so it fixes every cache counter.
+  std::array<uint64_t, kMaxSegments> segment_addrs;
   uint32_t num_segments = 0;
   uint64_t bytes_requested = 0;   ///< sum over active lanes of access size
   uint64_t bytes_transferred = 0; ///< segments x segment size
@@ -34,8 +37,10 @@ struct CoalesceResult {
 /// "irregular access" cost: scattered lanes touch many segments).
 ///
 /// `segment_bytes` is the coalescing granularity (32 B sectors on modern
-/// NVIDIA; we use the ArchConfig value for both vendors).  Efficiency
-/// metrics (gld_efficiency) fall directly out of requested/transferred.
+/// NVIDIA; we use the ArchConfig value for both vendors).  It must be a
+/// power of two no smaller than `access_bytes`, which must be positive
+/// (both checked).  Efficiency metrics (gld_efficiency) fall directly out
+/// of requested/transferred.
 CoalesceResult Coalesce(const Lanes<uint64_t>& addrs, LaneMask active,
                         uint32_t access_bytes, uint32_t segment_bytes);
 

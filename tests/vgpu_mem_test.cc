@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <list>
+#include <set>
+#include <vector>
+
+#include "util/random.h"
 #include "vgpu/mem/address_space.h"
 #include "vgpu/mem/cache.h"
 #include "vgpu/mem/coalescer.h"
@@ -212,7 +218,7 @@ TEST(CoalescerTest, StraddlingAccessTouchesTwoSegments) {
 }
 
 TEST(CoalescerTest, EmptyMaskProducesNothing) {
-  Lanes<uint64_t> addrs;
+  Lanes<uint64_t> addrs = Lanes<uint64_t>::Splat(0);
   auto result = Coalesce(addrs, 0, 4, 32);
   EXPECT_TRUE((result.size() == 0));
   EXPECT_EQ(result.bytes_requested, 0u);
@@ -226,6 +232,168 @@ TEST(CoalescerTest, SegmentsSortedAndDeduplicated) {
   EXPECT_EQ(result.segment_addrs[0], 0u);
   EXPECT_EQ(result.segment_addrs[1], 32u);
   EXPECT_EQ(result.segment_addrs[2], 96u);
+}
+
+// Differential check: Coalesce must return exactly the ascending set of
+// segments a std::set builds from the active lanes' byte ranges.  The order
+// matters beyond correctness: it is the order the L1/L2 LRU stamps are
+// assigned in, so it fixes every modeled cache counter.
+TEST(CoalescerTest, MatchesSetReferenceOnRandomTraffic) {
+  Rng rng(2024);
+  const uint32_t kAccessBytes[] = {1, 2, 4, 8, 16};
+  const uint32_t kSegmentBytes[] = {32, 64, 128};
+  for (int round = 0; round < 6000; ++round) {
+    const uint32_t width = 1 + static_cast<uint32_t>(rng.Uniform(64));
+    const uint32_t access = kAccessBytes[rng.Uniform(5)];
+    const uint32_t segment = kSegmentBytes[rng.Uniform(3)];
+    LaneMask active = FullMask(width);
+    switch (rng.Uniform(4)) {
+      case 0: break;                                   // full warp
+      case 1: active &= rng.Next64(); break;           // random half
+      case 2: active &= rng.Next64() & rng.Next64(); break;  // sparse
+      default: active &= 1ull << rng.Uniform(width);   // one lane
+    }
+    Lanes<uint64_t> addrs;
+    const uint64_t base = rng.Uniform(1ull << 40);
+    const uint32_t pattern = static_cast<uint32_t>(rng.Uniform(4));
+    for (uint32_t lane = 0; lane < width; ++lane) {
+      switch (pattern) {
+        case 0:  // sequential from an unaligned base
+          addrs[lane] = base + uint64_t{lane} * access;
+          break;
+        case 1:  // scattered over a window small enough to collide
+          addrs[lane] = base + rng.Uniform(4096);
+          break;
+        case 2:  // just below a segment boundary, so accesses straddle
+          addrs[lane] = (base / segment + rng.Uniform(8) + 1) * segment -
+                        1 - rng.Uniform(access);
+          break;
+        default:  // scattered over a large range, unaligned
+          addrs[lane] = rng.Uniform(1ull << 36);
+          break;
+      }
+    }
+    std::set<uint64_t> expected;
+    for (uint32_t lane = 0; lane < width; ++lane) {
+      if (!LaneActive(active, lane)) continue;
+      for (uint64_t s = addrs[lane] / segment;
+           s <= (addrs[lane] + access - 1) / segment; ++s) {
+        expected.insert(s * segment);
+      }
+    }
+    auto result = Coalesce(addrs, active, access, segment);
+    ASSERT_EQ(std::vector<uint64_t>(result.begin(), result.end()),
+              std::vector<uint64_t>(expected.begin(), expected.end()))
+        << "round " << round << " width " << width << " access " << access
+        << " segment " << segment << " pattern " << pattern;
+    ASSERT_EQ(result.bytes_requested,
+              uint64_t{access} * std::popcount(active));
+    ASSERT_EQ(result.bytes_transferred, expected.size() * segment);
+  }
+}
+
+// --------------------------------------------------- CacheModel vs naive LRU
+
+/// Textbook set-associative LRU: one most-recent-first list per set.
+class NaiveLruCache {
+ public:
+  NaiveLruCache(uint64_t size_bytes, uint32_t line_bytes, uint32_t assoc)
+      : line_bytes_(line_bytes),
+        assoc_(assoc),
+        sets_(size_bytes / (uint64_t{line_bytes} * assoc)) {}
+
+  bool Access(uint64_t addr) {
+    if (sets_.empty()) return false;
+    const uint64_t line = addr / line_bytes_;
+    std::list<uint64_t>& set = sets_[line % sets_.size()];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (*it == line) {
+        set.splice(set.begin(), set, it);
+        return true;
+      }
+    }
+    set.push_front(line);
+    if (set.size() > assoc_) set.pop_back();
+    return false;
+  }
+
+  void Clear() {
+    for (auto& set : sets_) set.clear();
+  }
+
+  uint64_t num_sets() const { return sets_.size(); }
+
+ private:
+  uint64_t line_bytes_;
+  uint32_t assoc_;
+  std::vector<std::list<uint64_t>> sets_;
+};
+
+struct CacheGeometry {
+  const char* what;
+  uint64_t size_bytes;
+  uint32_t line_bytes;
+  uint32_t assoc;
+  uint64_t expected_sets;
+};
+
+TEST(CacheTest, MatchesNaiveLruOnRandomAndStridedStreams) {
+  const uint64_t kA100L2 = 40ull << 20;
+  const CacheGeometry kGeometries[] = {
+      {"A100/Z100L L1", 128 << 10, 128, 4, 256},
+      {"A100 L2", kA100L2, 128, 16, 20480},
+      {"A100 L2 at memory_scale 32", kA100L2 / 32, 128, 16, 640},
+      {"A100 L2 at memory_scale 3000",
+       static_cast<uint64_t>(static_cast<double>(kA100L2) / 3000.0), 128, 16,
+       6},
+      {"V100 L2", 6ull << 20, 128, 16, 3072},
+      {"3-way, 7 sets, 64 B lines", 64 * 3 * 7, 64, 3, 7},
+      {"direct-mapped", 4096, 32, 1, 128},
+  };
+  Rng rng(77);
+  for (const CacheGeometry& g : kGeometries) {
+    SCOPED_TRACE(g.what);
+    CacheModel cache(g.size_bytes, g.line_bytes, g.assoc);
+    NaiveLruCache ref(g.size_bytes, g.line_bytes, g.assoc);
+    ASSERT_EQ(ref.num_sets(), g.expected_sets);
+    const uint64_t lines = g.expected_sets * g.assoc;
+    const uint64_t set_stride = g.expected_sets * g.line_bytes;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    const int kPhases = 8;
+    for (int phase = 0; phase < kPhases; ++phase) {
+      if (phase == kPhases / 2) {
+        cache.Clear();
+        ref.Clear();
+      }
+      const uint64_t start = rng.Uniform(1ull << 34);
+      for (uint64_t i = 0; i < 40000; ++i) {
+        uint64_t addr;
+        switch (phase % 4) {
+          case 0:  // random over ~2x the capacity: hits and misses
+            addr = start + rng.Uniform(2 * lines * g.line_bytes);
+            break;
+          case 1:  // line-strided sweep that wraps inside the capacity
+            addr = start + (i % (lines + lines / 4 + 1)) * g.line_bytes;
+            break;
+          case 2:  // one set, one more line than it has ways: all misses
+            addr = start + (i % (g.assoc + 1)) * set_stride;
+            break;
+          default:  // odd stride with sub-line offsets
+            addr = start + i * 7 * g.line_bytes / 3 + rng.Uniform(g.line_bytes);
+            break;
+        }
+        const bool want = ref.Access(addr);
+        ASSERT_EQ(cache.Access(addr), want)
+            << "phase " << phase << " access " << i << " addr " << addr;
+        want ? ++hits : ++misses;
+      }
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+  }
 }
 
 // ---------------------------------------------------------- SharedMemory

@@ -80,6 +80,23 @@ TEST(ArchConfigTest, ValidateRejectsPathologicalConfigs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(mutate([](ArchConfig& c) { c.lanes_per_sm = 0; }).code(),
             StatusCode::kInvalidArgument);
+
+  // The cache and coalescer models index with shifts and masks, so line
+  // and segment sizes must be powers of two.
+  EXPECT_TRUE(mutate([](ArchConfig& c) { c.cache_line_bytes = 64; }).ok());
+  EXPECT_TRUE(mutate([](ArchConfig& c) { c.mem_segment_bytes = 128; }).ok());
+  EXPECT_TRUE(mutate([](ArchConfig& c) { c.mem_segment_bytes = 16; }).ok());
+  // A 16-byte lane access must fit one segment.
+  EXPECT_EQ(mutate([](ArchConfig& c) { c.mem_segment_bytes = 8; }).code(),
+            StatusCode::kInvalidArgument);
+  for (uint32_t bad : {0u, 3u, 48u, 96u, 100u}) {
+    EXPECT_EQ(mutate([&](ArchConfig& c) { c.cache_line_bytes = bad; }).code(),
+              StatusCode::kInvalidArgument)
+        << "cache_line_bytes " << bad;
+    EXPECT_EQ(mutate([&](ArchConfig& c) { c.mem_segment_bytes = bad; }).code(),
+              StatusCode::kInvalidArgument)
+        << "mem_segment_bytes " << bad;
+  }
 }
 
 TEST(TimingTest, FixedOverheadFloorsTinyKernels) {
